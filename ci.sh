@@ -57,6 +57,18 @@ WCET_SMOKE_TRIALS=40 cargo test --release -q -p dpu-kernel --test wcet_soundness
 echo "==> jit equivalence property tests (smoke scale)"
 JIT_SMOKE_TRIALS=40 cargo test --release -q -p dpu-kernel --test jit_equivalence -- --nocapture
 
+# Adaptive-engine equivalence at smoke scale: the vectorized anti-diagonal
+# step must match its scalar oracle bit-for-bit at every step (outcome, BT
+# row, origins, cell count) and in the final score and CIGAR, over random
+# bands, lengths, divergences and sequence views.
+echo "==> engine equivalence property tests (smoke scale)"
+ENGINE_SMOKE_TRIALS=200 cargo test --release -q -p nw-core --test engine_equivalence -- --nocapture
+
+# Aligner microbenchmarks at smoke scale: keeps the bench target building
+# and running (no timing asserts; the numbers are noise at 50 ms).
+echo "==> cargo bench -p bench --bench aligners (BENCH_MS=50 smoke)"
+BENCH_MS=50 cargo bench -q -p bench --bench aligners
+
 # std::simd CPU baseline: the lane-parallel first pass must be bit-identical
 # to the scalar oracle (scores, CIGARs, and errors). The feature needs a
 # nightly toolchain; without one, run the same suite scalar-vs-scalar so the

@@ -58,4 +58,9 @@ fn main() {
     let al = AdaptiveAligner::new(scheme, band);
     group.bench("adaptive_score_only", || al.score(&a, &b).unwrap());
     group.bench("adaptive_with_cigar", || al.align(&a, &b).unwrap().score);
+    // The align-long shape: one S10000-like pair at band 128.
+    let (a, b) = pair(10_000, 11);
+    group.bench("adaptive_with_cigar/10000", || {
+        al.align(&a, &b).unwrap().score
+    });
 }

@@ -129,6 +129,19 @@ impl BtRow {
         *byte = (*byte & !(0x0F << shift)) | (cell.bits() << shift);
     }
 
+    /// Overwrite every cell from one nibble per cell (`cells.len()` must
+    /// equal [`BtRow::len`]), packing pairs with no per-cell branch.
+    pub fn pack_nibbles(&mut self, cells: &[u8]) {
+        assert_eq!(cells.len(), self.len, "one nibble per BT cell");
+        let pairs = cells.chunks_exact(2);
+        if let [last] = pairs.remainder() {
+            self.data[self.len / 2] = last & 0x0F;
+        }
+        for (byte, pair) in self.data.iter_mut().zip(pairs) {
+            *byte = (pair[0] & 0x0F) | (pair[1] << 4);
+        }
+    }
+
     /// Read the cell at `idx`.
     #[inline]
     pub fn get(&self, idx: usize) -> BtCell {
@@ -296,6 +309,20 @@ mod tests {
         row.set(0, BtCell(0x00));
         assert_eq!(row.get(0).bits(), 0);
         assert_eq!(row.get(1).bits(), 0x0F);
+    }
+
+    #[test]
+    fn pack_nibbles_matches_per_cell_set() {
+        for len in [1usize, 2, 5, 8] {
+            let cells: Vec<u8> = (0..len).map(|k| (k as u8 * 7 + 3) & 0x0F).collect();
+            let mut set = BtRow::new(len);
+            for (k, &c) in cells.iter().enumerate() {
+                set.set(k, BtCell(c));
+            }
+            let mut packed = BtRow::new(len);
+            packed.pack_nibbles(&cells);
+            assert_eq!(packed.as_bytes(), set.as_bytes(), "len {len}");
+        }
     }
 
     #[test]

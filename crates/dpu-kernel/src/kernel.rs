@@ -251,6 +251,14 @@ impl NwKernel {
         let with_bt = !header.params.score_only;
         let mut engine = Engine::new(header.params.scheme, w, a_len, b_len, with_bt);
         let bt_base = header.bt_off + pool_idx * header.bt_stride;
+        if with_bt {
+            // Every step rewrites the engine's packed row at the front of
+            // the WRAM row buffer; only the DMA-grain pad behind it needs
+            // zeroing, once per job (the previous job's traceback fetched
+            // MRAM rows into the same buffer).
+            let packed = engine.bt_row().as_bytes().len();
+            dpu.wram.slice_mut(pool.bt_row, row_bytes)?[packed..].fill(0);
+        }
         let mut phase_costs = vec![PhaseCost::default(); t_count];
         while !engine.is_done() {
             let out = engine.step(a.as_slice(), b.as_slice());
@@ -268,9 +276,7 @@ impl NwKernel {
             if with_bt {
                 // Stream the BT row to MRAM.
                 let row = engine.bt_row().as_bytes();
-                let buf = dpu.wram.slice_mut(pool.bt_row, row_bytes)?;
-                buf.fill(0);
-                buf[..row.len()].copy_from_slice(row);
+                dpu.wram.slice_mut(pool.bt_row, row_bytes)?[..row.len()].copy_from_slice(row);
                 dpu.wram_to_mram(
                     &mut phase_costs[0],
                     pool.bt_row,
