@@ -25,6 +25,12 @@ fn main() {
     let scheme = ScoringScheme::default();
     let band = 128usize;
 
+    // Every row of this group reports M elem/s in one unit: the static
+    // band's cells, `(m+n)/2 * (band+1)`, whatever the aligner actually
+    // evaluates. The adaptive engine sweeps `band` cells on each of the
+    // `m+n` anti-diagonals, about twice that, so its cell rate is about
+    // twice its M elem/s (`nw_core.cells_per_s` in a traced benchmark run
+    // counts its real cells).
     let mut group = h.group("score_per_cell");
     for len in [1_000usize, 4_000] {
         let (a, b) = pair(len, 42);

@@ -37,7 +37,6 @@ use pim_host::dispatch::{DispatchConfig, Engine};
 use pim_host::modes::{align_pairs, all_vs_all};
 use pim_host::recovery::{align_pairs_recovering, RecoveryConfig};
 use pim_host::report::ExecutionReport;
-use pim_sim::isa::InterpMode;
 use pim_sim::{FaultPlan, PimServer, ServerConfig};
 use std::fmt::Write as _;
 
@@ -65,32 +64,6 @@ pub fn engine_from_flags(fifo_depth: usize, sync_dispatch: bool) -> Engine {
         Engine::Pipelined {
             fifo_depth: fifo_depth.max(1),
         }
-    }
-}
-
-/// Parse the shared `--interp-mode` flag: which simulator interpreter tier
-/// executes the built-in kernels. `auto` runs a one-time timed calibration
-/// probe ([`dpu_kernel::isa_loops::auto_mode`]) on the paper-default kernel
-/// (asm, traceback) and picks whichever eligible tier is actually fastest
-/// on this host — eligibility gates (verifier-clean fast path, JIT entry
-/// checks) still apply, so `auto` is always safe; the old behavior of
-/// blindly preferring the JIT lost to the fast interpreter on some kernels.
-pub fn parse_interp_mode(text: &str) -> Option<InterpMode> {
-    Some(match text {
-        "checked" => InterpMode::Checked,
-        "fast" => InterpMode::Fast,
-        "jit" => InterpMode::Jit,
-        "auto" => dpu_kernel::isa_loops::auto_mode(dpu_kernel::KernelVariant::Asm, true),
-        _ => return None,
-    })
-}
-
-/// Human name of an interpreter tier (for reports).
-pub fn interp_mode_str(mode: InterpMode) -> &'static str {
-    match mode {
-        InterpMode::Checked => "checked",
-        InterpMode::Fast => "fast",
-        InterpMode::Jit => "jit",
     }
 }
 
@@ -214,7 +187,6 @@ pub fn cmd_align(
     sync_dispatch: bool,
     sim_threads: usize,
     audit: bool,
-    interp_mode: InterpMode,
     backend: Option<BackendChoice>,
     cache_capacity: usize,
 ) -> Result<String, CliError> {
@@ -259,10 +231,7 @@ pub fn cmd_align(
             scheme,
             score_only: false,
         };
-        let mut dcfg = DispatchConfig::new(
-            NwKernel::paper_default().with_interp_mode(interp_mode),
-            params,
-        );
+        let mut dcfg = DispatchConfig::new(NwKernel::paper_default(), params);
         dcfg.engine = engine_from_flags(fifo_depth, sync_dispatch);
         dcfg.sim_threads = sim_threads;
         dcfg.audit = audit;
@@ -340,10 +309,7 @@ pub fn cmd_align(
                 scheme,
                 score_only: false,
             };
-            let mut cfg = DispatchConfig::new(
-                NwKernel::paper_default().with_interp_mode(interp_mode),
-                params,
-            );
+            let mut cfg = DispatchConfig::new(NwKernel::paper_default(), params);
             cfg.engine = engine_from_flags(fifo_depth, sync_dispatch);
             cfg.sim_threads = sim_threads;
             cfg.audit = audit;
@@ -608,7 +574,7 @@ pub fn cmd_lint(verbose: bool, json: bool) -> Result<String, CliError> {
                 Ok(()) => {
                     let _ = writeln!(
                         out,
-                        "  race-freedom: proven for {} tasklets (fast path may skip the sanitizer)",
+                        "  race-freedom: proven for {} tasklets (measured without the sanitizer)",
                         isa_loops::PROOF_TASKLETS,
                     );
                 }
@@ -705,8 +671,6 @@ pub struct ChaosOpts {
     /// Simulator worker-thread budget shared by all concurrent ranks
     /// (0 = available parallelism).
     pub sim_threads: usize,
-    /// Interpreter tier executing the simulated kernels (`--interp-mode`).
-    pub interp_mode: InterpMode,
 }
 
 impl Default for ChaosOpts {
@@ -730,7 +694,6 @@ impl Default for ChaosOpts {
             fifo_depth: 2,
             sync_dispatch: false,
             sim_threads: 0,
-            interp_mode: InterpMode::default(),
         }
     }
 }
@@ -780,10 +743,7 @@ pub fn cmd_chaos(opts: &ChaosOpts) -> Result<String, CliError> {
     });
     server_cfg.dpu.watchdog_cycles = watchdog_cycles;
     let mut server = PimServer::new(server_cfg);
-    let mut cfg = DispatchConfig::new(
-        NwKernel::paper_default().with_interp_mode(opts.interp_mode),
-        params,
-    );
+    let mut cfg = DispatchConfig::new(NwKernel::paper_default(), params);
     cfg.engine = engine_from_flags(opts.fifo_depth, opts.sync_dispatch);
     cfg.sim_threads = opts.sim_threads;
     let rcfg = RecoveryConfig {
@@ -916,14 +876,12 @@ pub struct BenchOpts {
     /// Simulator worker-thread budget shared by all concurrent ranks
     /// (0 = available parallelism).
     pub sim_threads: usize,
-    /// Run the simulator benchmark (interpreter fast path + intra-rank
+    /// Run the simulator benchmark (checked interpreter + intra-rank
     /// parallelism) instead of the dispatch benchmark.
     pub sim: bool,
     /// Run the backend-router benchmark (dynamic router vs single backends
     /// vs static split, plus the result-cache phases) instead.
     pub backend: bool,
-    /// Interpreter tier executing the simulated kernels (`--interp-mode`).
-    pub interp_mode: InterpMode,
 }
 
 impl Default for BenchOpts {
@@ -945,7 +903,6 @@ impl Default for BenchOpts {
             sim_threads: 0,
             sim: false,
             backend: false,
-            interp_mode: InterpMode::default(),
         }
     }
 }
@@ -989,10 +946,7 @@ fn bench_run_guarded(
         scheme: ScoringScheme::default(),
         score_only: false,
     };
-    let mut cfg = DispatchConfig::new(
-        NwKernel::paper_default().with_interp_mode(opts.interp_mode),
-        params,
-    );
+    let mut cfg = DispatchConfig::new(NwKernel::paper_default(), params);
     cfg.rounds = opts.rounds.max(1);
     cfg.engine = engine;
     cfg.sim_threads = opts.sim_threads;
@@ -1232,12 +1186,11 @@ pub fn cmd_bench(opts: &BenchOpts) -> Result<String, CliError> {
 /// One DPU program for the simulator benchmark: `passes` passes of an
 /// inner loop over `cells` cells. The workload is seeded per DPU from its
 /// MRAM tag and a persistent launch counter, and every pass's outputs are
-/// folded into a running digest in MRAM — so bit-identity across
-/// interpreter modes and thread counts is checked end to end.
+/// folded into a running digest in MRAM — so bit-identity across thread
+/// counts is checked end to end.
 struct IsaBenchKernel {
     variant: dpu_kernel::KernelVariant,
     with_bt: bool,
-    mode: dpu_kernel::isa_loops::InterpMode,
     passes: u32,
     cells: usize,
 }
@@ -1258,7 +1211,6 @@ impl pim_sim::dpu::Kernel for IsaBenchKernel {
                 self.with_bt,
                 perturb,
                 self.cells,
-                self.mode,
                 digest,
             )?;
             digest = folded;
@@ -1326,15 +1278,15 @@ fn run_sim_condition(
     })
 }
 
-/// Simulator benchmark (`bench --sim`): (a) an interpreter microbenchmark
-/// per built-in kernel across all three tiers — fully checked path, the
-/// verified dense fast path, and the block-translating JIT; (b) rank-level
-/// launches of an ISA workload, sequential vs the intra-rank worker pool,
-/// in all six mode x thread combinations. Writes `BENCH_sim.json`; fails
-/// unless every condition's outputs, instruction counts and barrier cycles
-/// are bit-identical to the sequential checked reference.
+/// Simulator benchmark (`bench --sim`): (a) per built-in kernel, the
+/// checked interpreter's retired instructions against the symbolic WCET
+/// bound and the race-freedom proof; (b) rank-level launches of an ISA
+/// workload, sequential vs the intra-rank worker pool. Writes
+/// `BENCH_sim.json`; fails if a pass retires more instructions than its
+/// bound or the parallel launch's outputs, instruction counts or barrier
+/// cycles differ from the sequential one.
 fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
-    use dpu_kernel::isa_loops::{self, InterpMode};
+    use dpu_kernel::isa_loops;
     use dpu_kernel::KernelVariant;
     use pim_host::dispatch::resolve_sim_threads;
 
@@ -1349,14 +1301,13 @@ fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
     let dpus = (opts.ranks.max(1) * opts.dpus.max(1)).max(2);
     let threads = resolve_sim_threads(opts.sim_threads);
 
-    // (a) Interpreter microbenchmark: same perturb sequence through both
-    // paths; instruction totals and output digests must agree exactly.
+    // (a) Per kernel: retired instructions over `interp_iters` perturbed
+    // passes, and the largest single pass against the static bound.
     let mut interp_json = Vec::new();
     let mut out = format!(
         "bench sim: {cells} cells/pass, {interp_iters} interp passes, \
          {dpus} DPUs x {launches} launches x {passes} passes, {threads} sim threads\n"
     );
-    let mut identical = true;
     let mut wcet_sound = true;
     for (variant, vname) in [
         (KernelVariant::PureC, "pure_c"),
@@ -1367,135 +1318,52 @@ fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
                 "{vname}/{}",
                 if with_bt { "traceback" } else { "score_only" }
             );
-            let prep = isa_loops::prepared(variant, with_bt);
-            let jit = isa_loops::jitted(variant, with_bt);
-            let run_mode = |mode: InterpMode| -> Result<(u64, u64, f64), CliError> {
-                let mut instr = 0u64;
-                let mut digest = 0u64;
-                let t0 = std::time::Instant::now();
-                for i in 0..interp_iters {
-                    let (stats, folded) =
-                        isa_loops::bench_cells_digest(variant, with_bt, i, cells, mode, digest)
-                            .map_err(|e| CliError::Align(e.to_string()))?;
-                    instr += stats.instructions;
-                    digest = folded;
-                }
-                Ok((instr, digest, t0.elapsed().as_secs_f64()))
-            };
-            // Repetitions are interleaved across the tiers (round-robin
-            // rather than back-to-back) so slow drift in host load biases
-            // no tier; each tier keeps its best repetition.
-            let mut best: [Option<(u64, u64, f64)>; 3] = [None, None, None];
-            for _ in 0..reps {
-                for (slot, mode) in [
-                    (0usize, InterpMode::Checked),
-                    (1, InterpMode::Fast),
-                    (2, InterpMode::Jit),
-                ] {
-                    let r = run_mode(mode)?;
-                    if best[slot].is_none_or(|b| r.2 < b.2) {
-                        best[slot] = Some(r);
-                    }
-                }
+            let mut instructions = 0u64;
+            let mut max_pass = 0u64;
+            for i in 0..interp_iters {
+                let (stats, _) = isa_loops::bench_cells_digest(variant, with_bt, i, cells, 0)
+                    .map_err(|e| CliError::Align(e.to_string()))?;
+                instructions += stats.instructions;
+                max_pass = max_pass.max(stats.instructions);
             }
-            let (ci, cd, ct) = best[0].expect("reps >= 1");
-            let (fi, fd, ft) = best[1].expect("reps >= 1");
-            let (ji, jd, jt) = best[2].expect("reps >= 1");
-            let same = ci == fi && cd == fd && ci == ji && cd == jd;
-            identical &= same;
-            let checked_ips = ci as f64 / ct.max(1e-12);
-            let fast_ips = fi as f64 / ft.max(1e-12);
-            let jit_ips = ji as f64 / jt.max(1e-12);
-            let speedup = fast_ips / checked_ips.max(1e-12);
-            let jit_speedup = jit_ips / checked_ips.max(1e-12);
-            let jit_speedup_vs_fast = jit_ips / fast_ips.max(1e-12);
-            // Static-vs-dynamic soundness: the retired instructions of one
-            // pass must never exceed the symbolic WCET bound evaluated at
-            // this cell count. The JIT tier's exact retired-instruction
-            // accounting keeps it under the same bound (its count is
-            // bit-identical to the checked tier's, checked above).
             let static_instr = isa_loops::kernel_wcet(variant, with_bt)
                 .eval(
                     &pim_sim::isa::KernelParams::new()
                         .set(pim_sim::isa::Reg::new(1).expect("r1 exists"), cells as u64),
                 )
                 .unwrap_or(0);
-            let dynamic_instr = ci / u64::from(interp_iters.max(1));
-            let jit_dynamic_instr = ji / u64::from(interp_iters.max(1));
-            let ratio = dynamic_instr as f64 / (static_instr.max(1)) as f64;
-            let jit_ratio = jit_dynamic_instr as f64 / (static_instr.max(1)) as f64;
-            wcet_sound &= static_instr > 0
-                && dynamic_instr <= static_instr
-                && jit_dynamic_instr <= static_instr;
+            let ratio = max_pass as f64 / (static_instr.max(1)) as f64;
+            wcet_sound &= static_instr > 0 && max_pass <= static_instr;
+            let race_free = isa_loops::prove_race_free(variant, with_bt).is_ok();
             let _ = writeln!(
                 out,
-                "  {name}: checked {:.2} / fast {:.2} / jit {:.2} Minstr/s \
-                 -> fast {:.2}x, jit {:.2}x ({} fused windows, {} blocks, \
-                 {} -> {} ops, dynamic/static {ratio:.2})",
-                checked_ips / 1e6,
-                fast_ips / 1e6,
-                jit_ips / 1e6,
-                speedup,
-                jit_speedup,
-                prep.fused_windows(),
-                jit.block_count(),
-                prep.program().len(),
-                prep.dense_len(),
+                "  {name}: {instructions} instructions, largest pass {max_pass} \
+                 of WCET {static_instr} (dynamic/static {ratio:.2}), race-free {race_free}"
             );
             interp_json.push(format!(
-                "{{\"kernel\": \"{name}\", \"program_len\": {}, \"dense_len\": {}, \
-                 \"fused_windows\": {}, \"fast_eligible\": {}, \"jit_eligible\": {}, \
-                 \"jit_blocks\": {}, \"instructions\": {ci}, \
-                 \"checked_instr_per_sec\": {}, \"fast_instr_per_sec\": {}, \
-                 \"jit_instr_per_sec\": {}, \"speedup\": {}, \"jit_speedup\": {}, \
-                 \"jit_speedup_vs_fast\": {}, \"bit_identical\": {same}, \
+                "{{\"kernel\": \"{name}\", \"instructions\": {instructions}, \
                  \"wcet_instructions\": {static_instr}, \"dynamic_static_ratio\": {}, \
-                 \"jit_dynamic_static_ratio\": {}, \"race_free\": {}}}",
-                prep.program().len(),
-                prep.dense_len(),
-                prep.fused_windows(),
-                prep.fast_eligible(),
-                jit.jit_eligible(),
-                jit.block_count(),
-                jf(checked_ips),
-                jf(fast_ips),
-                jf(jit_ips),
-                jf(speedup),
-                jf(jit_speedup),
-                jf(jit_speedup_vs_fast),
+                 \"race_free\": {race_free}}}",
                 jf(ratio),
-                jf(jit_ratio),
-                prep.statically_race_free(),
             ));
         }
     }
 
-    // (b) Rank-level: the acceptance comparison is parallel+fast against
-    // the sequential+checked baseline (the pre-fast-path simulator).
-    let kernel = |mode: InterpMode| IsaBenchKernel {
+    // (b) Rank-level: the intra-rank pool against the sequential launch.
+    // Each repetition is a full fresh run (rank state, launch counters,
+    // digests all restart), so repeating only tightens the timing; the
+    // two conditions alternate so slow drift in host load biases neither,
+    // and each keeps its best repetition.
+    let kernel = IsaBenchKernel {
         variant: KernelVariant::Asm,
         with_bt: true,
-        mode,
         passes,
         cells,
     };
-    // Each repetition is a full fresh run (rank state, launch counters,
-    // digests all restart), so repeating only tightens the timing; the
-    // repetitions cycle through all six conditions round-robin so slow
-    // drift in host load biases no condition, and each condition keeps
-    // its best repetition.
-    let conds = [
-        (InterpMode::Checked, 1usize),
-        (InterpMode::Fast, 1),
-        (InterpMode::Jit, 1),
-        (InterpMode::Checked, threads),
-        (InterpMode::Fast, threads),
-        (InterpMode::Jit, threads),
-    ];
-    let mut best: [Option<SimCondRun>; 6] = [None, None, None, None, None, None];
+    let mut best: [Option<SimCondRun>; 2] = [None, None];
     for _ in 0..reps {
-        for (slot, &(mode, th)) in conds.iter().enumerate() {
-            let r = run_sim_condition(&kernel(mode), dpus, launches, th, opts.seed)?;
+        for (slot, th) in [1usize, threads].into_iter().enumerate() {
+            let r = run_sim_condition(&kernel, dpus, launches, th, opts.seed)?;
             if best[slot]
                 .as_ref()
                 .is_none_or(|b| r.wall_seconds < b.wall_seconds)
@@ -1504,28 +1372,12 @@ fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
             }
         }
     }
-    let [seq_checked, seq_fast, seq_jit, par_checked, par_fast, par_jit] =
-        best.map(|b| b.expect("reps >= 1"));
-    for c in [&seq_fast, &seq_jit, &par_checked, &par_fast, &par_jit] {
-        identical &= c.digests == seq_checked.digests
-            && c.instructions == seq_checked.instructions
-            && c.barrier_cycles == seq_checked.barrier_cycles;
-    }
-    let speedup_dpus = par_fast.dpus_per_sec / seq_checked.dpus_per_sec.max(1e-12);
-    // The JIT acceptance comparisons: the compiled tier against the
-    // sequential checked baseline (same thread count, pure tier effect)
-    // and against the fast interpreter at both thread counts.
-    let jit_speedup_vs_checked = seq_jit.dpus_per_sec / seq_checked.dpus_per_sec.max(1e-12);
-    let jit_speedup_vs_fast = seq_jit.dpus_per_sec / seq_fast.dpus_per_sec.max(1e-12);
-    let speedup_jit_dpus = par_jit.dpus_per_sec / seq_checked.dpus_per_sec.max(1e-12);
-    for (label, c) in [
-        ("sequential+checked", &seq_checked),
-        ("sequential+fast", &seq_fast),
-        ("sequential+jit", &seq_jit),
-        ("parallel+checked", &par_checked),
-        ("parallel+fast", &par_fast),
-        ("parallel+jit", &par_jit),
-    ] {
+    let [sequential, parallel] = best.map(|b| b.expect("reps >= 1"));
+    let identical = parallel.digests == sequential.digests
+        && parallel.instructions == sequential.instructions
+        && parallel.barrier_cycles == sequential.barrier_cycles;
+    let speedup_dpus = parallel.dpus_per_sec / sequential.dpus_per_sec.max(1e-12);
+    for (label, c) in [("sequential", &sequential), ("parallel", &parallel)] {
         let _ = writeln!(
             out,
             "  {label}: {:.1} simulated DPUs/s ({:.2} Minstr/s)",
@@ -1533,16 +1385,7 @@ fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
             c.instr_per_sec / 1e6
         );
     }
-    let _ = writeln!(
-        out,
-        "  parallel+fast over sequential+checked: {speedup_dpus:.2}x"
-    );
-    let _ = writeln!(
-        out,
-        "  jit over checked (sequential): {jit_speedup_vs_checked:.2}x, \
-         jit over fast (sequential): {jit_speedup_vs_fast:.2}x, \
-         parallel+jit over sequential+checked: {speedup_jit_dpus:.2}x"
-    );
+    let _ = writeln!(out, "  parallel over sequential: {speedup_dpus:.2}x");
 
     let cond_json = |c: &SimCondRun| {
         format!(
@@ -1560,24 +1403,13 @@ fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
          \"cells\": {cells},\n  \"interp_passes\": {interp_iters},\n  \
          \"dpus\": {dpus},\n  \"launches\": {launches},\n  \"passes_per_launch\": {passes},\n  \
          \"sim_threads\": {threads},\n  \"seed\": {},\n  \"interp\": [\n    {}\n  ],\n  \
-         \"rank\": {{\n    \"sequential_checked\": {},\n    \"sequential_fast\": {},\n    \
-         \"sequential_jit\": {},\n    \"parallel_checked\": {},\n    \"parallel_fast\": {},\n    \
-         \"parallel_jit\": {}\n  }},\n  \
-         \"speedup_dpus_per_sec\": {},\n  \"jit_speedup_vs_checked\": {},\n  \
-         \"jit_speedup_vs_fast\": {},\n  \"speedup_jit_dpus_per_sec\": {},\n  \
-         \"bit_identical\": {identical}\n}}\n",
+         \"rank\": {{\n    \"sequential\": {},\n    \"parallel\": {}\n  }},\n  \
+         \"speedup_dpus_per_sec\": {},\n  \"bit_identical\": {identical}\n}}\n",
         opts.seed,
         interp_json.join(",\n    "),
-        cond_json(&seq_checked),
-        cond_json(&seq_fast),
-        cond_json(&seq_jit),
-        cond_json(&par_checked),
-        cond_json(&par_fast),
-        cond_json(&par_jit),
+        cond_json(&sequential),
+        cond_json(&parallel),
         jf(speedup_dpus),
-        jf(jit_speedup_vs_checked),
-        jf(jit_speedup_vs_fast),
-        jf(speedup_jit_dpus),
     );
     let path = opts
         .json_path
@@ -1593,11 +1425,11 @@ fn cmd_bench_sim(opts: &BenchOpts) -> Result<String, CliError> {
     }
     if !identical {
         return Err(CliError::Align(format!(
-            "interpreter paths disagree: fast/parallel output is not \
-             bit-identical to the sequential checked reference\n{out}"
+            "rank launches disagree: the parallel launch is not bit-identical \
+             to the sequential one\n{out}"
         )));
     }
-    let _ = writeln!(out, "all conditions bit-identical");
+    let _ = writeln!(out, "sequential and parallel launches bit-identical");
     Ok(out)
 }
 
@@ -1627,10 +1459,7 @@ fn backend_route(
         scheme,
         score_only: false,
     };
-    let mut dcfg = DispatchConfig::new(
-        NwKernel::paper_default().with_interp_mode(opts.interp_mode),
-        params,
-    );
+    let mut dcfg = DispatchConfig::new(NwKernel::paper_default(), params);
     dcfg.engine = Engine::Pipelined {
         fifo_depth: opts.fifo_depth.max(1),
     };
@@ -1706,14 +1535,11 @@ struct CachePhase {
 /// same mixed workload — all four must return bit-identical results; (b)
 /// the content-addressed result cache at 0%/30%/90% repeated pairs, cold
 /// and warm, against an uncached reference — cached results must stay
-/// bit-identical and the hit/miss counters must conserve. Also records the
-/// tier the `--interp-mode auto` calibration probe picks per kernel.
-/// Writes `BENCH_backend.json`; fails on any identity or conservation
+/// bit-identical and the hit/miss counters must conserve. Also records
+/// which lane the router's first batch went to (the choice the seeded
+/// priors alone made). Writes `BENCH_backend.json`; fails on any identity or conservation
 /// violation.
 pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
-    use dpu_kernel::isa_loops::auto_mode;
-    use dpu_kernel::KernelVariant;
-
     let mut opts = opts.clone();
     if opts.smoke {
         opts.pairs = opts.pairs.min(16);
@@ -1724,23 +1550,6 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
     let band = opts.band.next_multiple_of(16).max(16);
     let pairs = SyntheticParams::preset(SyntheticPreset::S1000, opts.seed).generate(opts.pairs);
     let cpu_threads = RecoveryConfig::default().cpu_threads;
-
-    // The `--interp-mode auto` calibration: which tier the one-time timed
-    // probe picks per kernel (recorded so reports show the decision).
-    let autos: Vec<(String, InterpMode)> = [
-        (KernelVariant::PureC, "pure_c"),
-        (KernelVariant::Asm, "asm"),
-    ]
-    .into_iter()
-    .flat_map(|(v, name)| {
-        [false, true].map(|bt| {
-            (
-                format!("{name}/{}", if bt { "traceback" } else { "score_only" }),
-                auto_mode(v, bt),
-            )
-        })
-    })
-    .collect();
 
     // (a) Routing: dynamic router vs each single backend vs static split,
     // all on the same mixed (all-unique) workload. Best of N timed runs
@@ -1767,10 +1576,7 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
                 scheme: ScoringScheme::default(),
                 score_only: false,
             };
-            let mut dcfg = DispatchConfig::new(
-                NwKernel::paper_default().with_interp_mode(opts.interp_mode),
-                params,
-            );
+            let mut dcfg = DispatchConfig::new(NwKernel::paper_default(), params);
             dcfg.engine = Engine::Pipelined {
                 fifo_depth: opts.fifo_depth.max(1),
             };
@@ -1888,16 +1694,13 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
             )
         })
         .collect();
-    let auto_json: Vec<String> = autos
-        .iter()
-        .map(|(name, mode)| format!("{}: \"{}\"", jstr(name), interp_mode_str(*mode)))
-        .collect();
+    let first_lane = router.report.first_lane.as_deref().unwrap_or("none");
     let schema_version = upmem_nw_service::SCHEMA_VERSION;
     let json = format!(
         "{{\n  \"bench\": \"backend\",\n  \"schema_version\": {schema_version},\n  \
          \"pairs\": {},\n  \"ranks\": {},\n  \"dpus_per_rank\": {},\n  \"band\": {band},\n  \
          \"cpu_threads\": {cpu_threads},\n  \"seed\": {},\n  \
-         \"auto_modes\": {{{}}},\n  \
+         \"first_batch_lane\": {},\n  \
          \"routing\": {{\n    \"router\": {},\n    \"pim_only\": {},\n    \"cpu_only\": {},\n    \
          \"static_split\": {{\"wall_seconds\": {}, \"pim_pairs\": {}, \"cpu_pairs\": {}, \
          \"pairs_per_second\": {}}},\n    \
@@ -1910,7 +1713,7 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
         opts.ranks.max(1),
         opts.dpus.max(1),
         opts.seed,
-        auto_json.join(", "),
+        jstr(first_lane),
         outcome_json(&router),
         outcome_json(&pim_only),
         outcome_json(&cpu_only),
@@ -1938,9 +1741,7 @@ pub fn cmd_bench_backend(opts: &BenchOpts) -> Result<String, CliError> {
         opts.dpus.max(1),
         cpu_threads,
     );
-    for (name, mode) in &autos {
-        let _ = writeln!(out, "  auto tier {name}: {}", interp_mode_str(*mode));
-    }
+    let _ = writeln!(out, "  router's first batch: {first_lane}");
     let _ = writeln!(
         out,
         "routing (mixed workload):\n\
@@ -2038,21 +1839,7 @@ mod tests {
             Algo::Exact,
             Algo::Pim,
         ] {
-            let tsv = cmd_align(
-                &a,
-                &b,
-                algo,
-                16,
-                1,
-                2,
-                false,
-                0,
-                false,
-                InterpMode::default(),
-                None,
-                0,
-            )
-            .unwrap();
+            let tsv = cmd_align(&a, &b, algo, 16, 1, 2, false, 0, false, None, 0).unwrap();
             let lines: Vec<&str> = tsv.lines().skip(1).collect();
             assert_eq!(lines.len(), 2, "{algo:?}");
             let score: i32 = lines[0].split('\t').nth(2).unwrap().parse().unwrap();
@@ -2070,20 +1857,7 @@ mod tests {
         let a = write_temp("c.fa", ">r0\nACGT\n");
         let b = write_temp("d.fa", ">s0\nACGT\n>s1\nACGT\n");
         assert!(matches!(
-            cmd_align(
-                &a,
-                &b,
-                Algo::Exact,
-                16,
-                1,
-                2,
-                false,
-                0,
-                false,
-                InterpMode::default(),
-                None,
-                0
-            ),
+            cmd_align(&a, &b, Algo::Exact, 16, 1, 2, false, 0, false, None, 0),
             Err(CliError::Usage(_))
         ));
         std::fs::remove_file(a).ok();
@@ -2108,23 +1882,8 @@ mod tests {
                 .map(str::to_owned)
                 .collect()
         };
-        let reference = rows(
-            &cmd_align(
-                &a,
-                &b,
-                Algo::Adaptive,
-                16,
-                1,
-                2,
-                false,
-                0,
-                false,
-                InterpMode::default(),
-                None,
-                0,
-            )
-            .unwrap(),
-        );
+        let reference =
+            rows(&cmd_align(&a, &b, Algo::Adaptive, 16, 1, 2, false, 0, false, None, 0).unwrap());
         assert_eq!(reference.len(), 3);
         for choice in [
             BackendChoice::Pim,
@@ -2143,7 +1902,6 @@ mod tests {
                     false,
                     0,
                     false,
-                    InterpMode::default(),
                     Some(choice),
                     cache,
                 )
@@ -2401,7 +2159,7 @@ mod tests {
         for key in [
             "\"bench\": \"backend\"",
             "\"schema_version\"",
-            "\"auto_modes\"",
+            "\"first_batch_lane\"",
             "\"router\"",
             "\"pim_only\"",
             "\"cpu_only\"",
@@ -2434,15 +2192,16 @@ mod tests {
             ..BenchOpts::default()
         };
         let out = cmd_bench(&opts).expect("sim bench must run and stay bit-identical");
-        assert!(out.contains("all conditions bit-identical"), "{out}");
+        assert!(
+            out.contains("sequential and parallel launches bit-identical"),
+            "{out}"
+        );
         let json = std::fs::read_to_string(&path).unwrap();
         for key in [
             "\"bench\": \"sim\"",
             "\"interp\"",
-            "\"fused_windows\"",
-            "\"fast_eligible\": true",
-            "\"sequential_checked\"",
-            "\"parallel_fast\"",
+            "\"sequential\"",
+            "\"parallel\"",
             "\"dpus_per_sec\"",
             "\"speedup_dpus_per_sec\"",
             "\"sim_threads\": 3",

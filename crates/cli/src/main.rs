@@ -1,78 +1,119 @@
 //! `upmem-nw` — align DNA on a simulated UPMEM PiM server.
 //!
-//! ```text
-//! upmem-nw align  --a reads_a.fa --b reads_b.fa [--algo adaptive|static|wfa|exact|pim]
-//!                 [--band 128] [--ranks 4] [--fifo-depth 2] [--sync-dispatch true]
-//!                 [--sim-threads 0] [--audit true] [--out results.tsv]
-//!                 [--interp-mode checked|fast|jit|auto]
-//!                 [--backend pim|cpu|router|split] [--cache N]
-//! upmem-nw matrix --in seqs.fa [--band 128] [--ranks 4] [--out matrix.tsv]
-//! upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N
-//!                 [--seed S] [--out data.fa]
-//! upmem-nw chaos  [--seed 42] [--pairs 24] [--ranks 2] [--dpus 8] [--band 128]
-//!                 [--dpu-fault-rate 0.15] [--corrupt-rate 0.1] [--disabled 2]
-//!                 [--hang-faults 0.1] [--corrupt-cigars 0.1]
-//!                 [--watchdog-cycles auto|0|N] [--deadline 10] [--audit false]
-//!                 [--retries 3] [--quarantine 2] [--fifo-depth 2] [--sync-dispatch true]
-//!                 [--sim-threads 0] [--interp-mode checked|fast|jit|auto]
-//! upmem-nw chaos --crash true [--seed 42] [--kills 3] [--requests 5]
-//!                 [--pairs-per-request 2] [--ranks 2] [--dpus 4] [--band 64]
-//!                 [--read-len 600] [--corrupt-wal true] [--state-root dir]
+//! Run it with no arguments for the usage text. That text is built from
+//! [`COMMANDS`], the one table of the flags each subcommand takes; a flag
+//! its subcommand's line does not list is rejected with exit status 2 and
+//! the flag's name.
 //!
 //! `--watchdog-cycles auto` (the default) derives the per-launch cycle
 //! budget from the kernels' symbolic WCET bounds; `0` turns the watchdog
-//! off; any other number is an explicit budget. `--interp-mode` picks the
-//! simulator interpreter tier (checked oracle, verified dense fast path,
-//! or the block-translating JIT; `auto` runs a one-time timed calibration
-//! probe and keeps the faster verified tier, falling back to checked when
-//! the verifier gate fails). `align --backend` routes pairs through the
-//! heterogeneous backend layer (PiM, the CPU pool, the dynamic cost-model
-//! router, or the static split); `--cache N` puts a content-addressed
-//! result cache of capacity N in front (implies `--backend router`).
-//! `serve --cache N` sizes the daemon's persistent result cache
-//! (default 4096; 0 disables). `serve --state-dir DIR` turns on crash-safe
-//! durability: the result cache persists through a checksummed WAL +
-//! snapshot and admitted requests are journaled, so a killed daemon
-//! restarted against the same directory recovers its cache and replays
-//! unanswered requests (`--cache-path`, `--compact-every`, `--fsync`
-//! tune it; `--max-line-bytes` bounds per-connection request buffering).
-//! `chaos --crash true` runs the kill-injection harness: it spawns the
-//! daemon as a child against a durable state dir, SIGKILLs it at seeded
-//! points, and asserts recovery serves bit-identical results with
-//! balanced books. `bench --backend true` benchmarks the
-//! router against single backends and the cache at 0/30/90% duplicates.
-//! upmem-nw bench  [--pairs 48] [--ranks 4] [--dpus 4] [--rounds 6] [--band 64]
-//!                 [--fifo-depth 2] [--seed 42] [--straggler-hold-ms 35]
-//!                 [--smoke true] [--sim true] [--serve true] [--backend true]
-//!                 [--sim-threads 0] [--pairs-per-request 4] [--requests 48]
-//!                 [--interp-mode checked|fast|jit|auto]
-//!                 [--json BENCH_dispatch.json|BENCH_sim.json|BENCH_serve.json|BENCH_backend.json]
-//! upmem-nw serve  [--socket /tmp/upmem-nw.sock] [--ranks 2] [--dpus 8]
-//!                 [--band 64] [--fifo-depth 2] [--sim-threads 0] [--retries 3]
-//!                 [--quarantine 3] [--audit false] [--stall-deadline 5]
-//!                 [--watchdog-cycles 0] [--queue-requests 64]
-//!                 [--queue-pairs 4096] [--max-open 8] [--max-request-pairs 1024]
-//!                 [--default-deadline-ms MS] [--seed 42] [--dpu-fault-rate 0]
-//!                 [--hang-faults 0] [--corrupt-cigars 0] [--json report.json]
-//!                 [--interp-mode checked|fast|jit|auto] [--cache 4096]
-//! upmem-nw info   [--ranks 40]
-//! upmem-nw lint   [--verbose true] [--json true]
-//! ```
+//! off; any other number is an explicit budget. `align --backend` routes
+//! pairs through the heterogeneous backend layer (PiM, the CPU pool, the
+//! dynamic cost-model router, or the static split); `--cache N` puts a
+//! content-addressed result cache of capacity N in front (implies
+//! `--backend router`). `serve --cache N` sizes the daemon's persistent
+//! result cache (default 4096; 0 disables). `serve --state-dir DIR` turns
+//! on crash-safe durability: the result cache persists through a
+//! checksummed WAL + snapshot and admitted requests are journaled, so a
+//! killed daemon restarted against the same directory recovers its cache
+//! and replays unanswered requests (`--cache-path`, `--compact-every`,
+//! `--fsync` tune it; `--max-line-bytes` bounds per-connection request
+//! buffering). `chaos --crash true` runs the kill-injection harness: it
+//! spawns the daemon as a child against a durable state dir, SIGKILLs it
+//! at seeded points, and asserts recovery serves bit-identical results
+//! with balanced books. `bench --backend true` benchmarks the router
+//! against single backends and the cache at 0/30/90% duplicates.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
 use upmem_nw_cli::{
     cmd_align, cmd_bench, cmd_bench_serve, cmd_chaos, cmd_chaos_crash, cmd_generate, cmd_info,
-    cmd_lint, cmd_matrix, cmd_serve, install_interrupt_handler, parse_interp_mode, Algo,
-    BackendChoice, BenchOpts, BenchServeOpts, ChaosOpts, CliError, CrashOpts,
+    cmd_lint, cmd_matrix, cmd_serve, install_interrupt_handler, Algo, BackendChoice, BenchOpts,
+    BenchServeOpts, ChaosOpts, CliError, CrashOpts,
 };
 use upmem_nw_service::ServeOptions;
 
+/// Each subcommand's synopsis, `(head, flags)`. The usage text is built
+/// from this table, and a flag is accepted only when the line that applies
+/// lists it. A head that carries a `--flag value` pair (`chaos --crash
+/// true`) applies when that pair is given.
+const COMMANDS: &[(&str, &str)] = &[
+    (
+        "align",
+        "--a <fasta> --b <fasta> [--algo adaptive|static|wfa|exact|pim] [--band N] [--ranks N] \
+         [--fifo-depth N] [--sync-dispatch true] [--sim-threads N] [--audit true] \
+         [--backend pim|cpu|router|split] [--cache N] [--out file]",
+    ),
+    ("matrix", "--in <fasta> [--band N] [--ranks N] [--out file]"),
+    (
+        "generate",
+        "--kind s1000|s10000|s30000|16s|pacbio --count N [--seed S] [--out file]",
+    ),
+    (
+        "chaos",
+        "[--seed S] [--pairs N] [--ranks N] [--dpus N] [--band N] [--dpu-fault-rate P] \
+         [--corrupt-rate P] [--hang-faults P] [--corrupt-cigars P] \
+         [--watchdog-cycles auto|0|N] [--deadline SECS] [--audit false] [--disabled N] \
+         [--retries N] [--quarantine N] [--fifo-depth N] [--sync-dispatch true] \
+         [--sim-threads N]",
+    ),
+    (
+        "chaos --crash true",
+        "[--seed S] [--kills N] [--requests N] [--pairs-per-request N] [--ranks N] [--dpus N] \
+         [--band N] [--read-len N] [--corrupt-wal true] [--state-root dir]",
+    ),
+    (
+        "bench",
+        "[--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] \
+         [--straggler-hold-ms MS] [--smoke true] [--sim true] [--serve true] [--backend true] \
+         [--pairs-per-request N] [--requests N] [--sim-threads N] [--json file]",
+    ),
+    (
+        "serve",
+        "[--socket path] [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] \
+         [--retries N] [--quarantine N] [--audit false] [--stall-deadline SECS] \
+         [--watchdog-cycles N] [--queue-requests N] [--queue-pairs N] [--max-open N] \
+         [--max-request-pairs N] [--default-deadline-ms MS] [--seed S] [--dpu-fault-rate P] \
+         [--hang-faults P] [--corrupt-cigars P] [--cache N] [--state-dir dir] \
+         [--cache-path dir] [--compact-every N] [--fsync true] [--max-line-bytes N] \
+         [--json file]",
+    ),
+    ("info", "[--ranks N]"),
+    ("lint", "[--verbose true] [--json true]"),
+];
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  upmem-nw align --a <fasta> --b <fasta> [--algo adaptive|static|wfa|exact|pim] [--band N] [--ranks N] [--fifo-depth N] [--sync-dispatch true] [--sim-threads N] [--audit true] [--interp-mode checked|fast|jit|auto] [--backend pim|cpu|router|split] [--cache N] [--out file]\n  upmem-nw matrix --in <fasta> [--band N] [--ranks N] [--out file]\n  upmem-nw generate --kind s1000|s10000|s30000|16s|pacbio --count N [--seed S] [--out file]\n  upmem-nw chaos [--seed S] [--pairs N] [--ranks N] [--dpus N] [--band N] [--dpu-fault-rate P] [--corrupt-rate P] [--hang-faults P] [--corrupt-cigars P] [--watchdog-cycles auto|0|N] [--deadline SECS] [--audit false] [--disabled N] [--retries N] [--quarantine N] [--fifo-depth N] [--sync-dispatch true] [--sim-threads N] [--interp-mode checked|fast|jit|auto]\n  upmem-nw chaos --crash true [--seed S] [--kills N] [--requests N] [--pairs-per-request N] [--ranks N] [--dpus N] [--band N] [--read-len N] [--corrupt-wal true] [--state-root dir]\n  upmem-nw bench [--pairs N] [--ranks N] [--dpus N] [--rounds N] [--band N] [--fifo-depth N] [--seed S] [--straggler-hold-ms MS] [--smoke true] [--sim true] [--serve true] [--backend true] [--pairs-per-request N] [--requests N] [--sim-threads N] [--interp-mode checked|fast|jit|auto] [--json file]\n  upmem-nw serve [--socket path] [--ranks N] [--dpus N] [--band N] [--fifo-depth N] [--sim-threads N] [--retries N] [--quarantine N] [--audit false] [--stall-deadline SECS] [--watchdog-cycles N] [--queue-requests N] [--queue-pairs N] [--max-open N] [--max-request-pairs N] [--default-deadline-ms MS] [--seed S] [--dpu-fault-rate P] [--hang-faults P] [--corrupt-cigars P] [--interp-mode checked|fast|jit|auto] [--cache N] [--state-dir dir] [--cache-path dir] [--compact-every N] [--fsync true] [--max-line-bytes N] [--json file]\n  upmem-nw info [--ranks N]\n  upmem-nw lint [--verbose true] [--json true]"
-    );
+    let mut text = String::from("usage:");
+    for (head, flags) in COMMANDS {
+        text.push_str(&format!("\n  upmem-nw {head} {flags}"));
+    }
+    eprintln!("{text}");
     std::process::exit(2)
+}
+
+/// The `--flag` names a synopsis fragment lists.
+fn flag_names(text: &str) -> impl Iterator<Item = &str> {
+    text.split_whitespace()
+        .filter_map(|word| word.trim_start_matches('[').strip_prefix("--"))
+}
+
+/// The synopsis line that applies to `command` under `flags`: of the lines
+/// for that command whose head pairs are all given, the most specific.
+fn synopsis(
+    command: &str,
+    flags: &HashMap<String, String>,
+) -> Option<&'static (&'static str, &'static str)> {
+    COMMANDS
+        .iter()
+        .filter(|(head, _)| {
+            let words: Vec<&str> = head.split_whitespace().collect();
+            words[0] == command
+                && words[1..].chunks(2).all(|pair| {
+                    let given = pair[0].strip_prefix("--").and_then(|k| flags.get(k));
+                    given.map(String::as_str) == pair.get(1).copied()
+                })
+        })
+        .max_by_key(|(head, _)| head.len())
 }
 
 fn parse_flags(args: &[String]) -> HashMap<String, String> {
@@ -95,6 +136,18 @@ fn run() -> Result<String, CliError> {
         usage()
     };
     let flags = parse_flags(rest);
+    let Some((head, listed)) = synopsis(command, &flags) else {
+        usage()
+    };
+    let unlisted = flags.keys().filter(|k| {
+        !flag_names(head)
+            .chain(flag_names(listed))
+            .any(|f| f == k.as_str())
+    });
+    if let Some(key) = unlisted.min() {
+        eprintln!("error: `upmem-nw {head}` does not take --{key}");
+        std::process::exit(2)
+    }
     // One-shot runs exit with a partial report on Ctrl-C instead of dying
     // mid-write; the engines poll the flag at their planning points.
     if matches!(
@@ -117,12 +170,6 @@ fn run() -> Result<String, CliError> {
     let sim_threads: usize = get("sim-threads")
         .map(|v| v.parse().unwrap_or_else(|_| usage()))
         .unwrap_or(0);
-    // Shared across align/chaos/bench/serve: which simulator interpreter
-    // tier runs the kernels (checked oracle, verified fast path, or the
-    // block-translating JIT; `auto` picks jit when the verifier gate holds).
-    let interp_mode = get("interp-mode")
-        .map(|v| parse_interp_mode(&v).unwrap_or_else(|| usage()))
-        .unwrap_or_default();
 
     let output = match command.as_str() {
         "align" => {
@@ -149,7 +196,6 @@ fn run() -> Result<String, CliError> {
                 sync_dispatch,
                 sim_threads,
                 get("audit").is_some_and(|v| v == "true"),
-                interp_mode,
                 backend,
                 cache_capacity,
             )?
@@ -228,7 +274,6 @@ fn run() -> Result<String, CliError> {
                 fifo_depth: uint("fifo-depth", defaults.fifo_depth),
                 sync_dispatch: sync_dispatch || defaults.sync_dispatch,
                 sim_threads,
-                interp_mode,
             };
             cmd_chaos(&opts)?
         }
@@ -299,7 +344,6 @@ fn run() -> Result<String, CliError> {
                 default_deadline_ms: get("default-deadline-ms")
                     .map(|v| v.parse().unwrap_or_else(|_| usage())),
                 fault,
-                interp_mode,
                 cache_capacity: uint("cache", defaults.cache_capacity),
                 state_dir: get("state-dir").map(std::path::PathBuf::from),
                 cache_path: get("cache-path").map(std::path::PathBuf::from),
@@ -334,7 +378,6 @@ fn run() -> Result<String, CliError> {
                 sim_threads,
                 sim: get("sim").is_some_and(|v| v == "true"),
                 backend: get("backend").is_some_and(|v| v == "true"),
-                interp_mode,
             };
             cmd_bench(&opts)?
         }

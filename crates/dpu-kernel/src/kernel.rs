@@ -25,11 +25,10 @@ use crate::layout::{
 };
 use nw_core::adaptive::Engine;
 use nw_core::cigar::CigarOp;
-use nw_core::seq::{Base, PackedSeq};
+use nw_core::seq::PackedSeq;
 use nw_core::traceback::{walk, BtCell};
 use nw_core::ScoringScheme;
 use pim_sim::dpu::{Dpu, Kernel, Timeline};
-use pim_sim::isa::InterpMode;
 use pim_sim::pipeline::PhaseCost;
 use pim_sim::SimError;
 use std::cell::RefCell;
@@ -67,10 +66,6 @@ pub struct NwKernel {
     pub pool_cfg: PoolConfig,
     /// Which build (Table 7).
     pub variant: KernelVariant,
-    /// Interpreter tier the one-time cost measurement runs through. The
-    /// measured counts are bit-identical across tiers; this only selects
-    /// the execution path (and exercises its equivalence contract).
-    pub interp_mode: InterpMode,
 }
 
 impl NwKernel {
@@ -80,22 +75,12 @@ impl NwKernel {
             pool_cfg.pools >= 1 && pool_cfg.tasklets >= 1,
             "need at least 1x1 tasklets"
         );
-        Self {
-            pool_cfg,
-            variant,
-            interp_mode: InterpMode::default(),
-        }
+        Self { pool_cfg, variant }
     }
 
     /// The paper's production configuration: P=6, T=4, asm kernel.
     pub fn paper_default() -> Self {
         Self::new(PoolConfig::default(), KernelVariant::Asm)
-    }
-
-    /// Select the interpreter tier used for the cost measurement.
-    pub fn with_interp_mode(mut self, mode: InterpMode) -> Self {
-        self.interp_mode = mode;
-        self
     }
 }
 
@@ -123,7 +108,7 @@ const STAGING_BYTES: usize = 2048;
 
 impl Kernel for NwKernel {
     fn run(&self, dpu: &mut Dpu) -> Result<(), SimError> {
-        let costs = *CellCosts::for_variant_mode(self.variant, self.interp_mode);
+        let costs = *CellCosts::for_variant(self.variant);
         let total_tasklets = self.pool_cfg.total_tasklets();
         if total_tasklets > dpu.cfg.max_tasklets {
             return Err(SimError::BadTasklet {
@@ -261,7 +246,7 @@ impl NwKernel {
         }
         let mut phase_costs = vec![PhaseCost::default(); t_count];
         while !engine.is_done() {
-            let out = engine.step(a.as_slice(), b.as_slice());
+            let out = engine.step(&a, &b);
             let cells = u64::from(out.valid_cells);
             // Split the window cells over T tasklets; the uneven tail goes
             // to the first segment (the critical tasklet in the model).
@@ -377,10 +362,10 @@ impl NwKernel {
         }
     }
 
-    /// DMA a packed sequence from MRAM in staging-buffer chunks, unpack to
-    /// bases. Returns the unpacked sequence (window residency is modeled by
-    /// the per-pool `seq_windows` WRAM reservation; traffic and unpack
-    /// instructions are charged here).
+    /// DMA a packed sequence from MRAM in staging-buffer chunks. Returns it
+    /// still packed: the engine unpacks it once, on its first step (window
+    /// residency is modeled by the per-pool `seq_windows` WRAM reservation;
+    /// traffic and unpack instructions are charged here).
     fn fetch_sequence(
         &self,
         dpu: &mut Dpu,
@@ -389,7 +374,7 @@ impl NwKernel {
         seq_off: usize,
         seq_len: usize,
         costs: &CellCosts,
-    ) -> Result<Vec<Base>, SimError> {
+    ) -> Result<PackedSeq, SimError> {
         let byte_len = seq_len.div_ceil(4);
         let mut packed = Vec::with_capacity(byte_len.next_multiple_of(8));
         let mut fetched = 0usize;
@@ -405,7 +390,7 @@ impl NwKernel {
             message: "sequence shorter than descriptor claims".into(),
         })?;
         cost.instructions += (seq_len as f64 * costs.unpack_per_base).round() as u64;
-        Ok(seq.unpack().as_slice().to_vec())
+        Ok(seq)
     }
 
     /// Write a job's output record (header + CIGAR runs) through staging.

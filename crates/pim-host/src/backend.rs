@@ -3,17 +3,19 @@
 //! The paper's §5.6 observes that the host cores sit idle while DPUs run.
 //! PR 9 promotes the CPU path from an error-fallback/static-split sidecar
 //! to a *first-class peer*: [`SimPimBackend`] wraps the PiM server behind
-//! fault-tolerant dispatch (all interpreter tiers), [`CpuPoolBackend`]
+//! fault-tolerant dispatch, [`CpuPoolBackend`]
 //! wraps the kernel-identical [`AdaptiveAligner`] on a work-stealing
 //! thread pool, and both speak the same batch interface and self-report
 //! measured throughput in eq.-6 workload units per second.
 //!
 //! Throughput is an EWMA over completed batches — a *feedback loop*, not
-//! a hand-fed estimate. The first PiM batch is not blind either: the seed
-//! rate comes from the PR 6 WCET bounds (simulated cycles per job)
-//! converted to host seconds with the memoized interpreter timing probe
-//! ([`dpu_kernel::isa_loops::host_instr_rate`]), so the router has a
-//! defensible prior before any batch completes.
+//! a hand-fed estimate. The first batch is not blind either: both lanes
+//! are seeded from one timed probe of the adaptive engine, the DP loop
+//! every backend runs per job, taken once per process. The CPU pool
+//! multiplies it by its worker threads, the simulated PiM server by the
+//! simulation threads that execute its DPUs, so the router has a
+//! defensible prior before any batch completes and the two priors differ
+//! only by those thread counts.
 //!
 //! Both backends honor the bit-identity contract: for in-band pairs the
 //! CPU pool's adaptive aligner produces exactly the score and CIGAR the
@@ -23,19 +25,18 @@
 use crate::dispatch::DispatchConfig;
 use crate::recovery::{align_pairs_recovering, FaultReport, RecoveryConfig};
 use crate::report::ExecutionReport;
-use dpu_kernel::cost::wcet_job_cycles;
-use dpu_kernel::isa_loops::host_instr_rate;
 use dpu_kernel::layout::{JobResult, JobStatus};
 use nw_core::cigar::Cigar;
 use nw_core::error::AlignError;
 use nw_core::seq::DnaSeq;
 use nw_core::{AdaptiveAligner, ScoringScheme};
 use pim_sim::{PimServer, SimError};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Exponentially weighted moving average of measured throughput.
 ///
-/// Seeded from a model (WCET for PiM, a micro-probe for the CPU) and then
+/// Seeded from a micro-probe of the adaptive engine and then
 /// updated from every completed batch; the weight favors recent samples
 /// because a one-shot run only sees a handful of batches.
 #[derive(Debug, Clone, Copy)]
@@ -116,24 +117,26 @@ pub fn batch_units(pairs: &[(DnaSeq, DnaSeq)], band: usize) -> f64 {
         .sum()
 }
 
-/// Representative job length for the WCET-based seed: long enough that
-/// per-job overheads are amortized, short enough to be in every workload's
-/// range.
+/// Length of the synthetic pair the throughput probe aligns: long enough
+/// that per-job overheads are amortized, short enough to be in every
+/// workload's range.
 const SEED_JOB_LEN: usize = 384;
 
-/// Seed PiM throughput (eq.-6 units per *host* second) from the WCET
-/// bounds: a representative job costs `wcet_job_cycles` simulated cycles;
-/// the interpreter timing probe says how many simulated instructions the
-/// host retires per second; rank workers run in parallel. The estimate is
-/// deliberately rough — it only has to be the right order of magnitude
-/// until the first batch's measurement replaces it.
-pub fn seed_pim_rate(cfg: &DispatchConfig, parallel_dpus: usize) -> f64 {
-    let band = cfg.params.band;
-    let score_only = cfg.params.score_only;
-    let units = crate::balance::workload(SEED_JOB_LEN, SEED_JOB_LEN, band) as f64;
-    let cycles = wcet_job_cycles(SEED_JOB_LEN, SEED_JOB_LEN, band, score_only) as f64;
-    let host_rate = host_instr_rate(cfg.kernel.variant, !score_only, cfg.kernel.interp_mode);
-    (units / cycles.max(1.0)) * host_rate * parallel_dpus.max(1) as f64
+/// Seed PiM throughput (eq.-6 units per *host* second). The simulator
+/// never interprets a job: each DPU's work is the adaptive engine run on
+/// one of the simulation threads, so the prior is the single-thread engine
+/// rate ([`engine_probe_rate`]) times the threads that run DPUs
+/// concurrently ([`sim_lanes`]). The estimate is deliberately rough — it
+/// only has to be the right order of magnitude until the first batch's
+/// measurement replaces it.
+pub fn seed_pim_rate(cfg: &DispatchConfig, dpus: usize) -> f64 {
+    engine_probe_rate(cfg.params.scheme, cfg.params.band) * sim_lanes(cfg, dpus) as f64
+}
+
+/// Simulated DPUs that execute at once: the resolved simulation thread
+/// budget, never more than there are DPUs.
+fn sim_lanes(cfg: &DispatchConfig, dpus: usize) -> usize {
+    crate::dispatch::resolve_sim_threads(cfg.sim_threads).clamp(1, dpus.max(1))
 }
 
 /// The PiM server as a backend: fault-tolerant dispatch (lockstep or
@@ -147,8 +150,8 @@ pub struct SimPimBackend<'a> {
 }
 
 impl<'a> SimPimBackend<'a> {
-    /// Wrap `server`; the throughput seed comes from the WCET bounds and
-    /// the server's DPU count.
+    /// Wrap `server`; the throughput seed comes from the engine probe and
+    /// the simulation threads ([`seed_pim_rate`]).
     pub fn new(server: &'a mut PimServer, cfg: DispatchConfig, rcfg: RecoveryConfig) -> Self {
         let dpus = server.cfg().ranks * server.cfg().dpus_per_rank;
         let ewma = ThroughputEwma::seeded(seed_pim_rate(&cfg, dpus));
@@ -211,11 +214,12 @@ pub struct CpuPoolBackend {
 
 impl CpuPoolBackend {
     /// A pool of `threads` workers aligning with band `band`. The
-    /// throughput seed comes from a one-pair micro-probe (microseconds).
+    /// throughput seed is the engine probe ([`engine_probe_rate`]) times
+    /// `threads`.
     pub fn new(scheme: ScoringScheme, band: usize, score_only: bool, threads: usize) -> Self {
         let threads = threads.max(1);
         let aligner = AdaptiveAligner::new(scheme, band);
-        let ewma = ThroughputEwma::seeded(cpu_probe_rate(&aligner, band) * threads as f64);
+        let ewma = ThroughputEwma::seeded(engine_probe_rate(scheme, band) * threads as f64);
         CpuPoolBackend {
             aligner,
             threads,
@@ -248,9 +252,16 @@ impl CpuPoolBackend {
     }
 }
 
-/// Single-thread units/second of the adaptive aligner, measured once per
-/// pool on a representative synthetic pair.
-fn cpu_probe_rate(aligner: &AdaptiveAligner, band: usize) -> f64 {
+/// Single-thread units/second of the adaptive engine on a representative
+/// synthetic pair. Timed once per `(scheme, band)` per process and then
+/// reused, so every lane's prior scales the same sample.
+fn engine_probe_rate(scheme: ScoringScheme, band: usize) -> f64 {
+    static RATES: Mutex<Vec<((ScoringScheme, usize), f64)>> = Mutex::new(Vec::new());
+    let mut rates = RATES.lock().expect("engine probe cache");
+    if let Some(&(_, rate)) = rates.iter().find(|(key, _)| *key == (scheme, band)) {
+        return rate;
+    }
+    let aligner = AdaptiveAligner::new(scheme, band);
     let text: String = "ACGTGGTCATTACGGA".repeat(SEED_JOB_LEN / 16);
     let a = DnaSeq::from_ascii(text.as_bytes()).expect("probe seq");
     let mut btext = text.clone();
@@ -264,7 +275,9 @@ fn cpu_probe_rate(aligner: &AdaptiveAligner, band: usize) -> f64 {
         reps += 1;
     }
     let per = t.elapsed().as_secs_f64() / f64::from(reps);
-    units / per.max(1e-9)
+    let rate = units / per.max(1e-9);
+    rates.push(((scheme, band), rate));
+    rate
 }
 
 impl Backend for CpuPoolBackend {
@@ -366,12 +379,21 @@ mod tests {
     }
 
     #[test]
-    fn wcet_seed_is_finite_and_positive() {
-        let cfg = dispatch_config();
+    fn pim_seed_is_finite_and_scales_with_sim_threads() {
+        let mut cfg = dispatch_config();
+        cfg.sim_threads = 1;
         let rate = seed_pim_rate(&cfg, 8);
         assert!(rate.is_finite() && rate > 0.0, "seed rate {rate}");
-        // More DPUs, more throughput.
-        assert!(seed_pim_rate(&cfg, 16) > rate);
+        // The probe is timed once per process, so the prior scales exactly
+        // with the threads that run DPUs at once, capped by the DPU count.
+        cfg.sim_threads = 4;
+        assert_eq!(seed_pim_rate(&cfg, 8), 4.0 * rate);
+        assert_eq!(seed_pim_rate(&cfg, 2), 2.0 * rate);
+        assert_eq!(seed_pim_rate(&cfg, 0), rate);
+        // The CPU pool scales the same sample by its worker threads.
+        let band = cfg.params.band;
+        let cpu = CpuPoolBackend::new(cfg.params.scheme, band, false, 4);
+        assert_eq!(cpu.units_per_second(), 4.0 * rate);
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //! feedback-driven decision. `hetero` survives as the ablation baseline
 //! the router is benchmarked against.
 //!
-//! Estimates left at `0.0` are auto-seeded from the same models the
-//! router starts from (WCET bounds for PiM, a micro-probe for the CPU),
-//! so "static split with model seeds" is a fair comparator: same priors,
-//! no feedback.
+//! Estimates left at `0.0` are auto-seeded from the same priors the
+//! router starts from (the adaptive-engine micro-probe times each lane's
+//! threads, [`seed_pim_rate`] for PiM), so "static split with model seeds"
+//! is a fair comparator: same priors, no feedback.
 
 use crate::backend::{seed_pim_rate, Backend, CpuPoolBackend, SimPimBackend};
 use crate::cache::ResultCache;
@@ -44,7 +44,7 @@ pub struct HeteroConfig {
     /// merged results.
     pub cpu_band: usize,
     /// Estimated PiM throughput in eq.-6 workload units per second; `0.0`
-    /// auto-seeds from the WCET bounds (the router's prior).
+    /// auto-seeds from [`seed_pim_rate`] (the router's prior).
     pub pim_workload_per_second: f64,
     /// Estimated CPU throughput in workload units per second; `0.0`
     /// auto-seeds from a micro-probe.

@@ -88,6 +88,9 @@ pub struct LaneReport {
 pub struct RouterReport {
     /// One entry per backend, in the order they were passed.
     pub lanes: Vec<LaneReport>,
+    /// Backend the first routed batch went to — the choice the seeded
+    /// priors alone made (`None` when no batch was routed).
+    pub first_lane: Option<String>,
     /// Cache counters for this run (all-zero when no cache was supplied).
     pub cache: CacheStats,
 }
@@ -115,6 +118,9 @@ impl RouterReport {
                 }
                 None => self.lanes.push(lane.clone()),
             }
+        }
+        if self.first_lane.is_none() {
+            self.first_lane.clone_from(&other.first_lane);
         }
         self.cache.merge(&other.cache);
     }
@@ -214,6 +220,7 @@ pub fn route_pairs(
         })
         .collect();
 
+    let mut first_lane: Option<String> = None;
     let mut pim_report: Option<ExecutionReport> = None;
     let mut fault = FaultReport::default();
     let mut first_error: Option<SimError> = None;
@@ -313,6 +320,9 @@ pub fn route_pairs(
                     lanes.lock().expect("lane state")[lane_id].queued_units += units;
                     match job_txs[lane_id].try_send(pending.take().expect("job pending")) {
                         Ok(()) => {
+                            if first_lane.is_none() {
+                                first_lane = Some(lane_reports[lane_id].name.clone());
+                            }
                             lane_reports[lane_id].units += units;
                             in_flight += 1;
                             break;
@@ -396,6 +406,7 @@ pub fn route_pairs(
 
     let report = RouterReport {
         lanes: lane_reports,
+        first_lane,
         cache: cache_stats,
     };
     // Thread the telemetry into the PiM execution report too, so callers
@@ -516,6 +527,7 @@ mod tests {
         assert_eq!(out.results.len(), 5);
         assert_eq!(out.report.lanes.len(), 1);
         assert_eq!(out.report.lanes[0].pairs, 5);
+        assert_eq!(out.report.first_lane.as_deref(), Some("pim"));
         assert!(out.pim_report.is_some());
     }
 
@@ -527,5 +539,6 @@ mod tests {
         let out = route_pairs(&mut backends, &rcfg, &[], None).unwrap();
         assert!(out.results.is_empty());
         assert_eq!(out.report.lanes[0].batches, 0);
+        assert_eq!(out.report.first_lane, None, "no batch was routed");
     }
 }

@@ -47,13 +47,36 @@ fn rand_seq(rng: &mut SplitMix64, len: usize) -> DnaSeq {
         .collect()
 }
 
-/// Random packed pairs: a random sequence and a lightly edited copy, so most
-/// jobs stay in-band while some go OutOfBand — both outcomes must agree.
+/// Penalties heavy enough that an unrelated pair's band-constrained score
+/// sinks below `NEG_INF / 2`, the only way the adaptive window ends
+/// OutOfBand. A cell is at least its left neighbour minus
+/// `gap_open + gap_extend` (<= 9M), so the <= 163 anti-diagonals of a
+/// [`rand_jobs`] pair keep every value above `NEG_INF - 1.5G`, inside i32.
+fn heavy_params(rng: &mut SplitMix64) -> KernelParams {
+    KernelParams {
+        scheme: ScoringScheme::new(
+            rng.between(1, 4) as i32,
+            rng.between(10_000_000, 14_000_000) as i32,
+            rng.between(0, 1_000_000) as i32,
+            rng.between(5_000_000, 8_000_000) as i32,
+        ),
+        ..params()
+    }
+}
+
+/// Random packed pairs: mostly a random sequence and a lightly edited copy,
+/// plus some unrelated pairs. Under [`params`] every job stays in-band;
+/// under [`heavy_params`] the longer unrelated pairs go OutOfBand — both
+/// outcomes must agree across engines.
 fn rand_jobs(rng: &mut SplitMix64, n: usize) -> Vec<(PackedSeq, PackedSeq)> {
     (0..n)
         .map(|_| {
             let len = rng.between(20, 80) as usize;
             let a = rand_seq(rng, len);
+            if rng.below(4) == 0 {
+                let other = rng.between(20, 80) as usize;
+                return (a.pack(), rand_seq(rng, other).pack());
+            }
             let mut text = a.to_ascii();
             let edits = rng.below(4) as usize;
             for _ in 0..edits {
@@ -70,12 +93,13 @@ fn rand_jobs(rng: &mut SplitMix64, n: usize) -> Vec<(PackedSeq, PackedSeq)> {
 /// use (eq.-6 workloads, serpentine `group_jobs`, LPT inside each rank), so
 /// building twice yields byte-identical plans for both engines.
 fn build_rounds(
+    params: KernelParams,
     jobs: &[(PackedSeq, PackedSeq)],
     n_rounds: usize,
     n_ranks: usize,
     dpus: usize,
 ) -> Vec<Vec<RankPlan>> {
-    let workloads = pair_workloads(jobs, params().band);
+    let workloads = pair_workloads(jobs, params.band);
     let groups = group_jobs(&workloads, n_rounds * n_ranks);
     let mut rounds = Vec::new();
     for k in 0..n_rounds {
@@ -84,7 +108,7 @@ fn build_rounds(
             let ids = &groups[k * n_ranks + r];
             let subset: Vec<(PackedSeq, PackedSeq)> =
                 ids.iter().map(|&i| jobs[i].clone()).collect();
-            plans.push(plan_rank(&subset, ids, dpus, params(), 2, 64 << 20).unwrap());
+            plans.push(plan_rank(&subset, ids, dpus, params, 2, 64 << 20).unwrap());
         }
         rounds.push(plans);
     }
@@ -125,16 +149,20 @@ fn assert_bit_identical(lock: &DispatchOutcome, pipe: &DispatchOutcome, label: &
     assert_eq!(lock.workload, pipe.workload, "{label}: workload");
 }
 
+/// Run lockstep and pipelined on the same plans, assert they agree, and
+/// return the lockstep outcome. `topo` is (ranks, DPUs per rank), `pipe`
+/// the pipelined run's (FIFO depth, simulator threads).
 fn run_both(
+    params: KernelParams,
     fault: FaultPlan,
     topo: (usize, usize),
     jobs: &[(PackedSeq, PackedSeq)],
     n_rounds: usize,
-    depth: usize,
-    sim_threads: usize,
+    pipe: (usize, usize),
     label: &str,
-) {
+) -> DispatchOutcome {
     let (ranks, dpus) = topo;
+    let (depth, sim_threads) = pipe;
     let kernel = kernel();
     // The lockstep reference always runs the DPUs strictly sequentially
     // (thread budget 1); the pipelined run gets the trial's budget — the
@@ -143,7 +171,7 @@ fn run_both(
     let lock = execute_rounds(
         &mut s1,
         &kernel,
-        build_rounds(jobs, n_rounds, ranks, dpus),
+        build_rounds(params, jobs, n_rounds, ranks, dpus),
         1,
     )
     .unwrap();
@@ -156,11 +184,12 @@ fn run_both(
     let pipe = execute_rounds_pipelined(
         &mut s2,
         &kernel,
-        build_rounds(jobs, n_rounds, ranks, dpus),
+        build_rounds(params, jobs, n_rounds, ranks, dpus),
         &opts,
     )
     .unwrap();
     assert_bit_identical(&lock, &pipe, label);
+    lock
 }
 
 const TRIALS: usize = 12;
@@ -168,7 +197,15 @@ const TRIALS: usize = 12;
 #[test]
 fn pipelined_is_bit_identical_on_random_workloads() {
     let mut rng = SplitMix64::new(0xF1F0);
+    let mut out_of_band = 0;
     for trial in 0..TRIALS {
+        // Every third trial runs the heavy-penalty scheme.
+        let heavy = trial % 3 == 2;
+        let params = if heavy {
+            heavy_params(&mut rng)
+        } else {
+            params()
+        };
         let n = rng.below(25) as usize;
         let jobs = rand_jobs(&mut rng, n);
         let ranks = rng.between(1, 3) as usize;
@@ -176,18 +213,31 @@ fn pipelined_is_bit_identical_on_random_workloads() {
         let n_rounds = rng.between(1, 3) as usize;
         let depth = rng.between(1, 3) as usize;
         let threads = rng.between(1, 8) as usize;
-        run_both(
+        let lock = run_both(
+            params,
             FaultPlan::default(),
             (ranks, dpus),
             &jobs,
             n_rounds,
-            depth,
-            threads,
+            (depth, threads),
             &format!(
-                "trial {trial} ({ranks}x{dpus}, {n_rounds} rounds, depth {depth}, {threads} threads)"
+                "trial {trial} ({ranks}x{dpus}, {n_rounds} rounds, depth {depth}, \
+                 {threads} threads, heavy {heavy})"
             ),
         );
+        if heavy {
+            out_of_band += lock
+                .results
+                .iter()
+                .filter(|(_, r)| r.status == dpu_kernel::layout::JobStatus::OutOfBand)
+                .count();
+        }
     }
+    // Non-vacuity: the cross-engine check above really covered OutOfBand.
+    assert!(
+        out_of_band > 0,
+        "no heavy-penalty trial produced an OutOfBand job"
+    );
 }
 
 #[test]
@@ -203,12 +253,12 @@ fn pipelined_is_bit_identical_under_simulated_stragglers() {
             ..FaultPlan::default()
         };
         run_both(
+            params(),
             fault,
             (ranks, 2),
             &jobs,
             2,
-            2,
-            1 + trial,
+            (2, 1 + trial),
             &format!("straggler trial {trial}"),
         );
     }
@@ -226,7 +276,7 @@ fn wall_clock_hold_does_not_change_outputs() {
         straggler_hold_ms: 3.0,
         ..FaultPlan::default()
     };
-    run_both(fault, (2, 2), &jobs, 3, 2, 4, "hold");
+    run_both(params(), fault, (2, 2), &jobs, 3, (2, 4), "hold");
 }
 
 #[test]
@@ -261,7 +311,7 @@ fn parallel_intra_rank_is_bit_identical_under_fault_plans() {
             let seq_round = run_round(
                 &mut s1,
                 &kernel,
-                build_rounds(&jobs, 1, ranks, dpus).remove(0),
+                build_rounds(params(), &jobs, 1, ranks, dpus).remove(0),
                 true,
                 1,
                 pim_host::DeadlinePolicy::off(),
@@ -270,7 +320,7 @@ fn parallel_intra_rank_is_bit_identical_under_fault_plans() {
             let par_round = run_round(
                 &mut s2,
                 &kernel,
-                build_rounds(&jobs, 1, ranks, dpus).remove(0),
+                build_rounds(params(), &jobs, 1, ranks, dpus).remove(0),
                 true,
                 threads,
                 pim_host::DeadlinePolicy::off(),

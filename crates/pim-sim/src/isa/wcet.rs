@@ -21,8 +21,8 @@
 //!   (`base += const` per iteration × proven trip count). When every
 //!   tasklet's writes are disjoint from every other tasklet's reads and
 //!   writes ([`prove_partition`]), the kernel is statically race-free for
-//!   the phase (barrier-to-barrier region) the program models, and the
-//!   fast-path interpreter may skip the runtime WRAM sanitizer.
+//!   the phase (barrier-to-barrier region) the program models, and a
+//!   measurement run may skip the runtime WRAM sanitizer.
 //!
 //! Everything here is a *sound upper bound*: `Unbounded` means "could not
 //! prove", never "proven infinite" (the verifier reports provably infinite
